@@ -106,8 +106,8 @@ deprecated alias for `--registry dist`.
 site-grain space (recorded in the report; replays reproduce it).
 --max-batch B caps crash points harvested per forward execution (batched
 copy-on-write delta images); --per-trial forces the legacy
-one-execution-per-trial full-copy path (same canonical report, used as
-the bench baseline).
+one-execution-per-trial path, crash images via `crash_now` (same
+canonical report, used as the bench baseline).
 --faults PROFILE (dist registry only) injects seeded fabric faults under
 every cluster's reliable transport: `off` (default) is the faultless
 fabric, `lossy` drops/duplicates/reorders a small fraction of messages,

@@ -145,7 +145,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -193,8 +193,20 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. Reports nest a
+/// handful of levels; the cap turns hostile input (say, a file of `[`)
+/// into a parse error instead of a stack overflow in the recursive
+/// descent.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -210,7 +222,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -232,7 +244,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -407,6 +419,22 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Hostile input fails cleanly instead of overflowing the stack.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

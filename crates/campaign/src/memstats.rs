@@ -1,10 +1,13 @@
 //! Crash-image memory accounting for the copy-on-write campaign path.
 //!
-//! The legacy engine materialized a full `NvmImage` (an O(pool-size) byte
-//! copy) per crash state; the delta engine stores one shared base per
-//! forward execution plus O(dirty-lines) per state. This module counts
-//! both so reports and benches can show bytes-per-crash-state and the
-//! full-copy equivalent side by side. Everything here is a **host fact**
+//! The delta engine stores one shared base per forward execution — the
+//! NVM pool's written prefix, not the whole pool — plus O(dirty lines)
+//! per crash state, and materializes one crash image at a time (the base
+//! prefix grown to its last delta line) while classifying. This module
+//! counts what is actually held, next to the full-copy equivalent: the
+//! pool-sized image per state that the legacy engine once copied. Reports
+//! and benches show bytes-per-crash-state and that reference side by
+//! side. Everything here is a **host fact**
 //! (how much memory the harness itself used), so it lives in the report's
 //! non-canonical `host` section — but all counters derive from the
 //! deterministic simulation, so they are identical across reruns and
@@ -28,16 +31,18 @@ pub struct ImageMemory {
 }
 
 impl ImageMemory {
-    /// Record one batched forward execution: the shared base snapshot it
-    /// took (`base_bytes`, the NVM pool size), the summed delta payload of
-    /// the `images` crash states it harvested, and the pool size a legacy
-    /// full-copy image of this scenario would have cost per state.
+    /// Record one batched forward execution: the stored bytes of the
+    /// shared base snapshots it took (`base_bytes`), the summed delta
+    /// payload of the `images` crash states it harvested, the pool size a
+    /// full-copy image of this scenario would cost per state, and the
+    /// stored bytes of the largest image it materializes (`image_bytes`).
     pub fn record_execution(
         &self,
         base_bytes: u64,
         delta_bytes: u64,
         images: u64,
         pool_bytes: u64,
+        image_bytes: u64,
     ) {
         self.executions.fetch_add(1, Ordering::Relaxed);
         self.images.fetch_add(images, Ordering::Relaxed);
@@ -47,8 +52,8 @@ impl ImageMemory {
             .fetch_add(images.saturating_mul(pool_bytes), Ordering::Relaxed);
         // Live set of one execution: the shared base, every delta of the
         // batch, and the single transient materialization classification
-        // holds at a time.
-        let live = base_bytes + delta_bytes + pool_bytes;
+        // holds at a time (at most the largest one).
+        let live = base_bytes + delta_bytes + image_bytes;
         self.peak_live_bytes.fetch_max(live, Ordering::Relaxed);
     }
 
@@ -73,15 +78,16 @@ pub struct ImageMemorySummary {
     /// Crash states that produced an image (completed-clean states store
     /// nothing).
     pub images: u64,
-    /// Bytes of shared base snapshots (one per execution).
+    /// Stored bytes of the shared base snapshots (one per execution; each
+    /// holds the NVM pool's written prefix).
     pub base_bytes: u64,
     /// Bytes of per-state delta payload.
     pub delta_bytes: u64,
-    /// What the legacy full-copy path would have allocated for the same
-    /// states (images × pool size).
+    /// What a full-copy path would allocate for the same states (images ×
+    /// pool size): the legacy reference.
     pub full_copy_bytes: u64,
-    /// Largest single-execution live set (base + deltas + one transient
-    /// materialization).
+    /// Largest single-execution live set (stored base + deltas + the
+    /// largest materialized image).
     pub peak_live_bytes: u64,
 }
 
@@ -94,7 +100,7 @@ impl ImageMemorySummary {
             .unwrap_or(0)
     }
 
-    /// Average bytes per state the legacy full-copy path would have paid.
+    /// Average bytes per state a full-copy path would pay.
     pub fn full_copy_bytes_per_state(&self) -> u64 {
         self.full_copy_bytes.checked_div(self.images).unwrap_or(0)
     }
@@ -107,16 +113,16 @@ mod tests {
     #[test]
     fn records_and_summarizes() {
         let m = ImageMemory::default();
-        m.record_execution(1000, 200, 4, 1000);
-        m.record_execution(2000, 100, 1, 2000);
+        m.record_execution(300, 200, 4, 1000, 500);
+        m.record_execution(2000, 100, 1, 2000, 2000);
         let s = m.summary();
         assert_eq!(s.executions, 2);
         assert_eq!(s.images, 5);
-        assert_eq!(s.base_bytes, 3000);
+        assert_eq!(s.base_bytes, 2300);
         assert_eq!(s.delta_bytes, 300);
         assert_eq!(s.full_copy_bytes, 4 * 1000 + 2000);
         assert_eq!(s.peak_live_bytes, 2000 + 100 + 2000);
-        assert_eq!(s.bytes_per_crash_state(), 3300 / 5);
+        assert_eq!(s.bytes_per_crash_state(), 2600 / 5);
         assert_eq!(s.full_copy_bytes_per_state(), 6000 / 5);
     }
 

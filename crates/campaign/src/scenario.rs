@@ -333,7 +333,7 @@ pub trait Scenario: Send + Sync {
         self.unit_space().trigger_of(unit, |u| self.site_trigger(u))
     }
     /// Inject one crash state, recover, classify. This is the reference
-    /// (full-copy) path: one instrumented execution per unit, crash image
+    /// (per-trial) path: one instrumented execution per unit, crash image
     /// via `crash_now`.
     fn run_trial(&self, unit: u64, telemetry: bool) -> Trial;
 

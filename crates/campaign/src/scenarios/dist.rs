@@ -452,6 +452,7 @@ impl<S: DistSpec> Scenario for Dist<S> {
                 stats.delta_bytes,
                 stats.images,
                 stats.pool_bytes,
+                stats.image_bytes,
             );
             for (unit, t) in results {
                 by_unit.insert(unit, self.classify_dist(unit, t));
@@ -508,6 +509,7 @@ impl<S: DistSpec> Scenario for Dist<S> {
                 stats.delta_bytes,
                 stats.images,
                 stats.pool_bytes,
+                stats.image_bytes,
             );
             for (unit, d) in results {
                 by_unit.insert(unit, classify_dirty(unit, &d));

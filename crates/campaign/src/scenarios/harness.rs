@@ -12,6 +12,7 @@ use adcc_core::DirtyRestart;
 use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, Harvest};
 use adcc_sim::image::NvmImage;
+use adcc_sim::system::DeltaBase;
 use adcc_telemetry::{ExecutionProfile, Probe};
 
 use crate::memstats::ImageMemory;
@@ -77,8 +78,7 @@ pub(crate) fn run_harvested_ref<T>(
     emu.arm_harvest(units.iter().map(|&u| (trigger_of(u), u)));
     let probe = telemetry.then(|| Probe::attach(emu));
     let end = run(emu);
-    let harvests = emu.take_harvests();
-    record(mem, emu, &harvests);
+    let harvests = take_recorded(mem, emu);
 
     let mut by_unit: Vec<Option<Trial>> = vec![None; units.len()];
     for (k, h) in harvests.iter().enumerate() {
@@ -122,8 +122,7 @@ pub(crate) fn run_dirty(
     );
     emu.arm_harvest(units.iter().map(|&u| (trigger_of(u), u)));
     run(&mut emu);
-    let harvests = emu.take_harvests();
-    record(mem, &emu, &harvests);
+    let harvests = take_recorded(mem, &mut emu);
 
     let mut by_unit: Vec<Option<DirtyTrial>> = vec![None; units.len()];
     for h in harvests.iter() {
@@ -170,11 +169,26 @@ pub(crate) fn classify_dirty(
     }
 }
 
-/// Record one batched execution's crash-image memory facts.
-pub(crate) fn record(mem: &ImageMemory, emu: &CrashEmulator, harvests: &[Harvest]) {
-    let pool = emu.config().nvm_capacity as u64;
+/// Disarm the harvest plan and take its crash states, recording the
+/// execution's crash-image memory facts: the base's stored prefix, the
+/// summed deltas, and the largest image classification will materialize.
+fn take_recorded(mem: &ImageMemory, emu: &mut CrashEmulator) -> Vec<Harvest> {
+    let base_bytes = emu.harvest_base().map_or(0, DeltaBase::stored_len) as u64;
+    let harvests = emu.take_harvests();
     let delta_bytes: u64 = harvests.iter().map(|h| h.image.delta_bytes()).sum();
-    mem.record_execution(pool, delta_bytes, harvests.len() as u64, pool);
+    let image_bytes = harvests
+        .iter()
+        .map(|h| h.image.materialized_len() as u64)
+        .max()
+        .unwrap_or(0);
+    mem.record_execution(
+        base_bytes,
+        delta_bytes,
+        harvests.len() as u64,
+        emu.config().nvm_capacity as u64,
+        image_bytes,
+    );
+    harvests
 }
 
 /// Replicate a lazily-built completion trial over every unit still missing

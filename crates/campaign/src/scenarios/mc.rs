@@ -59,15 +59,10 @@ impl McCampaign {
     ) -> Self {
         let problem = McProblem::generate(36, 64, PROBLEM_SEED);
         let cfg = cfg_of(problem.grid_bytes());
-        // Crash-free reference counts (mode- and platform-independent:
-        // the sampled physics only depends on the MC seed).
-        let mut sys = MemorySystem::new(cfg.clone());
-        let mc = McSim::setup(&mut sys, problem.clone(), LOOKUPS, MC_SEED, McMode::Native);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        mc.run(&mut emu, 0, LOOKUPS)
-            .completed()
-            .expect("trigger is Never");
-        let reference = mc.peek_counts(&emu);
+        // Crash-free reference counts, computed on the host (mode- and
+        // platform-independent: the sampled physics only depends on the
+        // MC seed).
+        let reference = problem.reference_counts(LOOKUPS, MC_SEED);
         McCampaign {
             problem,
             mode,

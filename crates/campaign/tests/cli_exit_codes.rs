@@ -335,6 +335,32 @@ fn triage_usage_errors_exit_nonzero() {
 }
 
 #[test]
+fn deeply_nested_report_files_fail_with_exit_one_not_a_stack_overflow() {
+    // A file of 200 000 `[` once overflowed the recursive JSON parser's
+    // stack (abort, exit 134). Every subcommand that reads a report must
+    // reject it as a parse error instead.
+    let dir = std::env::temp_dir().join("adcc-hostile-json");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("nested.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let path = path.to_str().unwrap();
+    for args in [
+        vec!["triage", path],
+        vec!["resilience", path],
+        vec!["replay", "--expect", path],
+        vec!["compare", path, path],
+    ] {
+        let out = campaign(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {:?}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("nesting deeper than"),
+            "{args:?} stderr:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn triage_rejects_pre_v5_schema_generations() {
     // v1–v4 reports predate the analyzed scenario unit spaces: their
     // headers cannot be replayed under the analyzer, so triage must

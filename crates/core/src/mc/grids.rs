@@ -10,7 +10,7 @@
 use adcc_sim::parray::PArray;
 use adcc_sim::system::MemorySystem;
 
-use super::rng::{mix64, unit_f64};
+use super::rng::{mix64, sample, unit_f64};
 use super::XS_CHANNELS;
 
 /// Host-side description of the MC problem.
@@ -105,6 +105,62 @@ impl McProblem {
     /// Grid bytes (for sizing the simulated NVM).
     pub fn grid_bytes(&self) -> usize {
         (self.energy.len() + self.xs.len()) * 8
+    }
+
+    /// The interaction type lookup `i` of an MC run seeded `seed` selects,
+    /// computed on the host. Mirrors `McSim::one_lookup` (and through it
+    /// [`SimMcGrids::search`] / [`SimMcGrids::interpolate`]) with the same
+    /// f64 operations in the same order, so the result is bit-identical to
+    /// the simulated lookup.
+    pub fn interaction(&self, seed: u64, i: u64) -> usize {
+        let e = unit_f64(sample(seed, i, 0));
+        let mat = self.pick_material(unit_f64(sample(seed, i, 1)));
+        let mut macro_xs = [0.0f64; XS_CHANNELS];
+        for &nuc in &self.materials[mat] {
+            let base = nuc as usize * self.grid_points;
+            let mut lo = 0usize;
+            let mut hi = self.grid_points - 1;
+            while lo + 1 < hi {
+                let mid = (lo + hi) / 2;
+                if self.energy[base + mid] <= e {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let g = lo.min(self.grid_points - 2);
+            let (e0, e1) = (self.energy[base + g], self.energy[base + g + 1]);
+            let f = if e1 > e0 { (e - e0) / (e1 - e0) } else { 0.0 };
+            let f = f.clamp(0.0, 1.0);
+            let row0 = (base + g) * XS_CHANNELS;
+            let row1 = (base + g + 1) * XS_CHANNELS;
+            for (c, acc) in macro_xs.iter_mut().enumerate() {
+                let (lo, hi) = (self.xs[row0 + c], self.xs[row1 + c]);
+                *acc += lo + f * (hi - lo);
+            }
+        }
+        let mut cdf = [0.0f64; XS_CHANNELS];
+        let mut acc = 0.0;
+        for (entry, xs) in cdf.iter_mut().zip(macro_xs) {
+            acc += xs;
+            *entry = acc;
+        }
+        let total = cdf[XS_CHANNELS - 1];
+        let x = unit_f64(sample(seed, i, 2));
+        cdf.iter()
+            .position(|&c| x <= c / total)
+            .unwrap_or(XS_CHANNELS - 1)
+    }
+
+    /// Crash-free interaction-type counts of a `lookups`-long run seeded
+    /// `seed`, computed on the host (see [`McProblem::interaction`]); equal
+    /// to what a simulated run counts in any persistence mode.
+    pub fn reference_counts(&self, lookups: u64, seed: u64) -> [u64; XS_CHANNELS] {
+        let mut counts = [0u64; XS_CHANNELS];
+        for i in 0..lookups {
+            counts[self.interaction(seed, i)] += 1;
+        }
+        counts
     }
 }
 

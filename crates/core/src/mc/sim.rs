@@ -415,12 +415,47 @@ mod tests {
     }
 
     fn no_crash_counts(p: &McProblem, lookups: u64, mode: McMode) -> [u64; XS_CHANNELS] {
+        no_crash_counts_seeded(p, lookups, 42, mode)
+    }
+
+    fn no_crash_counts_seeded(
+        p: &McProblem,
+        lookups: u64,
+        seed: u64,
+        mode: McMode,
+    ) -> [u64; XS_CHANNELS] {
         let c = cfg(p);
         let mut sys = MemorySystem::new(c);
-        let mc = McSim::setup(&mut sys, p.clone(), lookups, 42, mode);
+        let mc = McSim::setup(&mut sys, p.clone(), lookups, seed, mode);
         let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
         mc.run(&mut emu, 0, lookups).completed().unwrap();
         mc.peek_counts(&emu)
+    }
+
+    #[test]
+    fn host_lookups_equal_a_simulated_native_run_bit_for_bit() {
+        // The campaign's problem shape and a smaller one, two seeds each.
+        for (p, lookups) in [
+            (McProblem::generate(36, 64, 305), 1_200u64),
+            (small_problem(), 500),
+        ] {
+            for seed in [42u64, 7] {
+                let mut sys = MemorySystem::new(cfg(&p));
+                let mc = McSim::setup(&mut sys, p.clone(), lookups, seed, McMode::Native);
+                for i in 0..lookups {
+                    assert_eq!(
+                        mc.one_lookup(&mut sys, i),
+                        p.interaction(seed, i),
+                        "seed {seed} lookup {i}"
+                    );
+                }
+                assert_eq!(
+                    p.reference_counts(lookups, seed),
+                    no_crash_counts_seeded(&p, lookups, seed, McMode::Native),
+                    "seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use adcc_sim::clock::Bucket;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, Harvest};
 use adcc_sim::image::NvmImage;
-use adcc_sim::system::{MemorySystem, SystemConfig};
+use adcc_sim::system::{DeltaBase, MemorySystem, SystemConfig};
 
 use crate::net::{decode_f64s, encode_f64s, Fabric, FaultPlan, NetTiming, NetTraffic};
 
@@ -215,6 +215,12 @@ impl Cluster {
         points: impl IntoIterator<Item = (CrashTrigger, u64)>,
     ) {
         self.emus[rank].arm_harvest(points);
+    }
+
+    /// The delta base one rank's armed harvest plan diffs against (see
+    /// [`CrashEmulator::harvest_base`]).
+    pub fn harvest_base(&self, rank: usize) -> Option<&DeltaBase> {
+        self.emus[rank].harvest_base()
     }
 
     /// Take the crash states one rank's plan captured since the last

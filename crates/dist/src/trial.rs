@@ -2,8 +2,9 @@
 //! crash, recovery in either mode, recovery-traffic measurement, and
 //! cluster-wide telemetry rollup.
 
-use adcc_sim::crash::{CrashSite, CrashTrigger};
+use adcc_sim::crash::{CrashSite, CrashTrigger, Harvest};
 use adcc_sim::image::{DeltaImage, NvmImage};
+use adcc_sim::system::DeltaBase;
 use adcc_telemetry::{ExecutionProfile, Probe};
 
 use crate::cluster::Cluster;
@@ -489,16 +490,30 @@ pub struct BatchPoint {
 /// campaign's `ImageMemory` gauge.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchStats {
-    /// Bytes the armed ranks' copy-on-write bases pin (one full NVM
-    /// snapshot per armed rank).
+    /// Bytes the armed ranks' copy-on-write bases pin (one NVM
+    /// written-prefix snapshot per armed rank).
     pub base_bytes: u64,
     /// Total delta bytes across all harvested crash states.
     pub delta_bytes: u64,
     /// Harvested crash states.
     pub images: u64,
-    /// Full-image bytes one crash state would have cost (per-rank NVM
-    /// capacity).
+    /// Full-image bytes one crash state would cost (per-rank NVM
+    /// capacity): the full-copy reference.
     pub pool_bytes: u64,
+    /// Stored bytes of the largest crash image the batch materialized.
+    pub image_bytes: u64,
+}
+
+impl BatchStats {
+    /// Account one drained group of harvests: all of them count as crash
+    /// states, and the replay materializes their shared image once.
+    fn record_drain(&mut self, harvests: &[Harvest]) {
+        self.images += harvests.len() as u64;
+        self.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
+        if let Some(h) = harvests.first() {
+            self.image_bytes = self.image_bytes.max(h.image.materialized_len() as u64);
+        }
+    }
 }
 
 /// Run one batch of crash points through a single forward cluster
@@ -536,7 +551,7 @@ pub fn run_dist_batch<K: DistKernel + Clone>(
             .collect();
         if !pts.is_empty() {
             cl.arm_harvest(rank, pts);
-            stats.base_bytes += stats.pool_bytes;
+            stats.base_bytes += cl.harvest_base(rank).map_or(0, DeltaBase::stored_len) as u64;
         }
     }
     let probes: Option<Vec<Probe>> =
@@ -624,8 +639,7 @@ fn drain_and_replay<K: DistKernel + Clone>(
             continue;
         }
         debug_assert!(harvests.iter().all(|h| h.site == site));
-        stats.images += harvests.len() as u64;
-        stats.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
+        stats.record_drain(&harvests);
         let trial = replay_recovery(
             cl,
             kernel,
@@ -800,7 +814,7 @@ pub fn run_dist_dirty_batch<K: DistKernel + Clone>(
             .collect();
         if !pts.is_empty() {
             cl.arm_harvest(rank, pts);
-            stats.base_bytes += stats.pool_bytes;
+            stats.base_bytes += cl.harvest_base(rank).map_or(0, DeltaBase::stored_len) as u64;
         }
     }
     let mut results: Vec<(u64, DirtyReboot)> = Vec::with_capacity(points.len());
@@ -837,8 +851,7 @@ fn drain_and_replay_dirty<K: DistKernel + Clone>(
             continue;
         }
         debug_assert!(harvests.iter().all(|h| h.site == site));
-        stats.images += harvests.len() as u64;
-        stats.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
+        stats.record_drain(&harvests);
         let reboot = replay_dirty(cl, kernel, rank, iter, site, &harvests[0].image);
         let mut units = harvests.into_iter().map(|h| h.unit);
         let last = units.next_back();

@@ -160,7 +160,7 @@ impl Backing {
         self.bytes[off..off + LINE_SIZE].copy_from_slice(data);
     }
 
-    /// Raw (uncharged) byte read, used by image snapshots and debugging.
+    /// Raw (uncharged) byte read, used by debugging and tests.
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
         let off = self.index(addr, buf.len());
         let have = self.bytes.len().saturating_sub(off).min(buf.len());
@@ -178,36 +178,27 @@ impl Backing {
         self.bytes[off..off + src.len()].copy_from_slice(src);
     }
 
-    /// Clone the full contents (crash snapshot). Always `capacity` bytes:
-    /// the unwritten tail is materialized as zeros so image consumers see
-    /// the whole pool.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.cap];
-        out[..self.bytes.len()].copy_from_slice(&self.bytes);
-        out
+    /// The written prefix (crash images copy exactly this); everything
+    /// from its end up to [`Backing::capacity`] is zero.
+    pub fn written_prefix(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Overwrite the full contents (restoring a snapshot). Invalidates any
-    /// outstanding write journal: the whole store changed at once.
-    pub fn restore(&mut self, bytes: &[u8]) {
-        assert_eq!(bytes.len(), self.cap, "snapshot size mismatch");
+    /// Replace the whole contents with `prefix` followed by zeros up to
+    /// the capacity (booting from an image). Invalidates any outstanding
+    /// write journal: the whole store changed at once.
+    pub fn restore(&mut self, prefix: &[u8]) {
+        assert!(
+            prefix.len() <= self.cap,
+            "restored prefix of {} bytes exceeds capacity {}",
+            prefix.len(),
+            self.cap
+        );
         self.journal_epoch += 1;
         self.journal.clear();
         self.journaling = false;
-        // Trim the snapshot's trailing zeros so a restored store keeps the
-        // cheap-to-clone written-prefix invariant. Chunked comparison so
-        // the scan runs at memcmp speed, not byte-at-a-time.
-        const CHUNK: usize = 1024;
-        const ZERO: [u8; CHUNK] = [0; CHUNK];
-        let mut live = bytes.len();
-        while live >= CHUNK && bytes[live - CHUNK..live] == ZERO {
-            live -= CHUNK;
-        }
-        while live > 0 && bytes[live - 1] == 0 {
-            live -= 1;
-        }
         self.bytes.clear();
-        self.bytes.extend_from_slice(&bytes[..live]);
+        self.bytes.extend_from_slice(prefix);
     }
 
     /// Zero everything (volatile medium lost at crash). Invalidates any
@@ -298,7 +289,7 @@ mod tests {
     #[test]
     fn restore_and_wipe_invalidate_the_journal() {
         let mut b = Backing::new(0, 256);
-        let snap = b.snapshot();
+        let snap = b.written_prefix().to_vec();
         let e = b.mark_journal();
         b.write_bytes(0, &[1; 8]);
         b.restore(&snap);
@@ -353,16 +344,25 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_always_full_capacity_and_roundtrips() {
+    fn written_prefix_is_only_the_live_bytes_and_roundtrips() {
         let mut b = Backing::new(0, 128);
         b.write_bytes(0, &[9; 16]);
-        let snap = b.snapshot();
-        assert_eq!(snap.len(), 128, "snapshot materializes the whole pool");
-        assert_eq!(&snap[..16], &[9; 16]);
-        assert_eq!(&snap[16..], &[0; 112]);
+        let snap = b.written_prefix().to_vec();
+        assert_eq!(snap, [9; 16], "only the written prefix is copied");
+        b.write_bytes(100, &[3; 4]);
+        b.restore(&snap);
+        assert_eq!(b.read_line(0)[..16], [9; 16]);
+        let mut tail = [1u8; 112];
+        b.read_bytes(16, &mut tail);
+        assert_eq!(tail, [0; 112], "restore zeroes past the prefix");
         b.wipe();
         assert_eq!(b.read_line(0)[0], 0);
-        b.restore(&snap);
-        assert_eq!(b.read_line(0)[0], 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds capacity")]
+    fn restoring_a_prefix_past_capacity_panics() {
+        let mut b = Backing::new(0, 64);
+        b.restore(&[0; 65]);
     }
 }

@@ -173,6 +173,13 @@ impl CrashEmulator {
         });
     }
 
+    /// The delta base the armed harvest plan diffs its captures against
+    /// (`None` when no plan is armed). Its stored prefix is the memory the
+    /// plan pins for as long as it stays armed.
+    pub fn harvest_base(&self) -> Option<&DeltaBase> {
+        self.harvest.as_ref().map(|h| &h.base)
+    }
+
     /// Crash states captured so far by the armed harvest plan.
     pub fn harvest_count(&self) -> usize {
         self.harvest.as_ref().map_or(0, |h| h.out.len())
@@ -459,7 +466,7 @@ mod tests {
         assert_eq!(a.get(&mut e, 1), 2);
         // ...and the fork equals the real crash image taken at that point.
         let crashed = e.crash_now();
-        assert_eq!(fork.bytes(), crashed.bytes());
+        assert_eq!(fork.first_difference(&crashed), None);
         assert_eq!(fork.read_u64(a.addr(0)), 1);
         assert_eq!(fork.read_u64(a.addr(1)), 0);
     }
@@ -536,7 +543,7 @@ mod tests {
         )]);
         assert!(run(&mut harvester).is_none());
         let h = harvester.take_harvests().remove(0);
-        assert_eq!(h.image.materialize().bytes(), crashed.bytes());
+        assert_eq!(h.image.materialize().first_difference(&crashed), None);
         assert_eq!(
             h.image.dirty_lines_at_crash(),
             crashed.dirty_lines_at_crash()
@@ -594,7 +601,7 @@ mod tests {
         let img = e.crash_now();
         let h = e.take_harvests().remove(0);
         assert_eq!(h.unit, 9);
-        assert_eq!(h.image.materialize().bytes(), img.bytes());
+        assert_eq!(h.image.materialize().first_difference(&img), None);
     }
 
     #[test]
@@ -602,7 +609,7 @@ mod tests {
         let o: RunOutcome<i32> = RunOutcome::Completed(3);
         assert!(!o.is_crashed());
         assert_eq!(o.completed(), Some(3));
-        let o: RunOutcome<i32> = RunOutcome::Crashed(NvmImage::new(vec![]));
+        let o: RunOutcome<i32> = RunOutcome::Crashed(NvmImage::from_prefix(vec![], 0));
         assert!(o.is_crashed());
         assert!(o.crashed().is_some());
     }

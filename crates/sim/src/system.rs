@@ -154,8 +154,9 @@ pub struct CounterSnapshot {
 }
 
 /// The shared base a run's [`DeltaImage`]s are diffed against: an immutable
-/// NVM snapshot (behind an [`Arc`], so every delta of the run shares one
-/// copy) plus the write-journal epoch that validates it.
+/// NVM image of the pool's written prefix (behind an [`Arc`], so every
+/// delta of the run shares one copy) plus the write-journal epoch that
+/// validates it.
 ///
 /// Created by [`MemorySystem::delta_base`]. Taking a new base invalidates
 /// the previous one (the journal restarts); so do whole-store mutations
@@ -173,9 +174,14 @@ impl DeltaBase {
         &self.base
     }
 
-    /// Size of the base snapshot in bytes (the NVM pool size).
+    /// Logical size of the base snapshot in bytes (the NVM pool size).
     pub fn len(&self) -> usize {
         self.base.len()
+    }
+
+    /// Bytes the base snapshot actually holds (its written prefix).
+    pub fn stored_len(&self) -> usize {
+        self.base.stored_len()
     }
 
     /// Whether the base snapshot holds no bytes.
@@ -188,8 +194,9 @@ impl std::fmt::Debug for DeltaBase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "DeltaBase({} bytes, epoch {})",
+            "DeltaBase({} bytes, {} stored, epoch {})",
             self.base.len(),
+            self.base.stored_len(),
             self.epoch
         )
     }
@@ -312,10 +319,16 @@ impl MemorySystem {
     }
 
     /// Recreate a system from a post-crash NVM image (recovery boots with
-    /// cold caches over the surviving persistent bytes).
+    /// cold caches over the surviving persistent bytes). Copies only the
+    /// image's written prefix; the image must span the whole NVM pool.
     pub fn from_image(cfg: SystemConfig, image: &NvmImage) -> Self {
+        assert_eq!(
+            image.len(),
+            cfg.nvm_capacity,
+            "image size does not match the NVM capacity"
+        );
         let mut sys = MemorySystem::new(cfg);
-        sys.nvm.restore(image.bytes());
+        sys.nvm.restore(image.written_prefix());
         sys
     }
 
@@ -917,13 +930,14 @@ impl MemorySystem {
         self.dram.wipe();
         self.nvm_streams.reset();
         self.dram_streams.reset();
-        NvmImage::new(self.nvm.snapshot()).with_dirty_lines(dirty_lines)
+        self.nvm_snapshot().with_dirty_lines(dirty_lines)
     }
 
     /// Non-destructive snapshot of the current NVM backing store (what
-    /// *would* survive a crash right now). Uncharged; for tests/analysis.
+    /// *would* survive a crash right now): its written prefix only.
+    /// Uncharged; for tests/analysis.
     pub fn nvm_snapshot(&self) -> NvmImage {
-        NvmImage::new(self.nvm.snapshot())
+        NvmImage::from_prefix(self.nvm.written_prefix().to_vec(), self.nvm.capacity())
     }
 
     /// Snapshot every deterministic counter (see [`CounterSnapshot`]).
@@ -936,17 +950,17 @@ impl MemorySystem {
     }
 
     /// Take the shared base for copy-on-write crash images: snapshot the
-    /// NVM pool once and start the backing store's write journal. Every
-    /// subsequent [`MemorySystem::crash_fork_delta`] captures only the
-    /// lines written since this call (diffed against the base, so
-    /// rewrites of identical bytes are dropped too).
+    /// NVM pool's written prefix once and start the backing store's write
+    /// journal. Every subsequent [`MemorySystem::crash_fork_delta`]
+    /// captures only the lines written since this call (diffed against
+    /// the base, so rewrites of identical bytes are dropped too).
     ///
     /// Taking a new base restarts the journal and invalidates the previous
     /// base. Uncharged.
     pub fn delta_base(&mut self) -> DeltaBase {
         let epoch = self.nvm.mark_journal();
         DeltaBase {
-            base: Arc::new(NvmImage::new(self.nvm.snapshot())),
+            base: Arc::new(self.nvm_snapshot()),
             epoch,
         }
     }
@@ -986,7 +1000,6 @@ impl MemorySystem {
         // Stable sort keeps insertion order within a line, so the last
         // entry of an equal-line run is the newest (CPU-level) copy.
         overlay.sort_by_key(|&(line, _)| line);
-        let base_bytes = base.base.bytes();
         let mut kept = Vec::with_capacity(lines.len());
         let mut data = Vec::with_capacity(lines.len() * LINE_SIZE);
         for &line in &lines {
@@ -995,8 +1008,10 @@ impl MemorySystem {
             if after > 0 && overlay[after - 1].0 == line {
                 payload = overlay[after - 1].1;
             }
-            let off = ((line << LINE_SHIFT) - nvm_base) as usize;
-            if payload[..] != base_bytes[off..off + LINE_SIZE] {
+            let mut was = [0u8; LINE_SIZE];
+            base.base
+                .read_bytes((line << LINE_SHIFT) - nvm_base, &mut was);
+            if payload != was {
                 kept.push(line);
                 data.extend_from_slice(&payload);
             }
@@ -1015,7 +1030,7 @@ impl MemorySystem {
     /// NVM-homed cache lines the battery would drain (CPU copies supersede
     /// DRAM-cache copies, like the real drain). Uncharged.
     pub fn crash_fork(&self) -> NvmImage {
-        let mut bytes = self.nvm.snapshot();
+        let mut image = self.nvm_snapshot();
         if self.cfg.persistent_caches {
             let base = self.nvm.base();
             // DRAM-cache copies first, then CPU copies (newer) on top.
@@ -1029,11 +1044,10 @@ impl MemorySystem {
                 if !dirty || is_dram_addr(addr) {
                     continue;
                 }
-                let off = (addr - base) as usize;
-                bytes[off..off + LINE_SIZE].copy_from_slice(data);
+                image.write_bytes((addr - base) as usize, data);
             }
         }
-        NvmImage::new(bytes).with_dirty_lines(self.dirty_nvm_lines())
+        image.with_dirty_lines(self.dirty_nvm_lines())
     }
 }
 
@@ -1322,7 +1336,7 @@ mod tests {
         assert_eq!(out, [8; 8]);
         // ...and the image matches what a real crash produces.
         let crashed = s.crash();
-        assert_eq!(fork.bytes(), crashed.bytes());
+        assert_eq!(fork.first_difference(&crashed), None);
         assert_eq!(fork.read_u8(a), 7);
         assert_eq!(fork.read_u8(b), 0);
     }
@@ -1336,7 +1350,7 @@ mod tests {
         s.write_bytes(a + 64, &[6; 8]); // dirty in the CPU cache
         let fork = s.crash_fork();
         let crashed = s.crash();
-        assert_eq!(fork.bytes(), crashed.bytes());
+        assert_eq!(fork.first_difference(&crashed), None);
         assert_eq!(fork.read_u8(a), 0, "DRAM-cache copy is volatile");
     }
 
@@ -1350,7 +1364,7 @@ mod tests {
         s.write_bytes(a + 64, &[2; 8]); // dirty in the CPU cache
         let fork = s.crash_fork();
         let crashed = s.crash();
-        assert_eq!(fork.bytes(), crashed.bytes());
+        assert_eq!(fork.first_difference(&crashed), None);
         assert_eq!(fork.read_u8(a), 1);
         assert_eq!(fork.read_u8(a + 64), 2);
     }
@@ -1400,7 +1414,7 @@ mod tests {
         s.write_bytes(a + 128, &[3; 8]); // stranded in cache: not in NVM
         let delta = s.crash_fork_delta(&base);
         let full = s.crash_fork();
-        assert_eq!(delta.materialize().bytes(), full.bytes());
+        assert_eq!(delta.materialize().first_difference(&full), None);
         assert_eq!(delta.read_u8(a), 1, "pre-base bytes come from the base");
         assert_eq!(delta.read_u8(a + 64), 2, "post-base bytes from the delta");
         assert_eq!(delta.read_u8(a + 128), 0, "cached write not durable");
@@ -1419,7 +1433,7 @@ mod tests {
         s.clflush(a);
         let delta = s.crash_fork_delta(&base);
         assert_eq!(delta.delta_line_count(), 0);
-        assert_eq!(delta.materialize().bytes(), s.crash_fork().bytes());
+        assert_eq!(delta.materialize().first_difference(&s.crash_fork()), None);
     }
 
     #[test]
@@ -1456,7 +1470,7 @@ mod tests {
         s.write_bytes(a + 64, &[2; 8]); // dirty in the CPU cache
         let delta = s.crash_fork_delta(&base);
         let full = s.crash_fork();
-        assert_eq!(delta.materialize().bytes(), full.bytes());
+        assert_eq!(delta.materialize().first_difference(&full), None);
         assert_eq!(delta.read_u8(a), 1);
         assert_eq!(delta.read_u8(a + 64), 2);
     }
@@ -1510,6 +1524,56 @@ mod tests {
     }
 
     #[test]
+    fn images_store_only_the_written_prefix() {
+        let mut s = small_sys();
+        let a = s.alloc_nvm(256);
+        s.write_bytes(a, &[1; 8]);
+        s.persist_line(a);
+        let base = s.delta_base();
+        s.write_bytes(a + 192, &[2; 8]);
+        s.persist_line(a + 192);
+        let live = (a + 256) as usize;
+        let delta = s.crash_fork_delta(&base);
+        let images = [
+            ("delta_base", (**base.image()).clone()),
+            ("nvm_snapshot", s.nvm_snapshot()),
+            ("crash_fork", s.crash_fork()),
+            ("materialize", delta.materialize()),
+            ("crash", s.crash()),
+        ];
+        for (name, img) in &images {
+            assert_eq!(img.len(), 1 << 20, "{name}: logical size is the pool");
+            assert!(
+                img.stored_len() <= live,
+                "{name}: stored {}",
+                img.stored_len()
+            );
+        }
+        assert_eq!(base.stored_len(), (a + 64) as usize);
+        assert_eq!(images[3].1.read_u8(a + 192), 2);
+    }
+
+    #[test]
+    fn from_image_zero_fills_past_the_image_prefix() {
+        let cfg = SystemConfig::nvm_only(4096, 1 << 12);
+        let img = NvmImage::from_prefix(vec![9; 100], 1 << 12);
+        let mut s = MemorySystem::from_image(cfg, &img);
+        let mut out = [1u8; 8];
+        s.read_bytes(96, &mut out);
+        assert_eq!(out, [9, 9, 9, 9, 0, 0, 0, 0]);
+        s.read_bytes(4000, &mut out);
+        assert_eq!(out, [0; 8]);
+        assert_eq!(s.crash().first_difference(&img), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the NVM capacity")]
+    fn from_image_rejects_an_image_of_another_pool_size() {
+        let img = NvmImage::from_prefix(vec![], 1 << 12);
+        let _ = MemorySystem::from_image(SystemConfig::nvm_only(4096, 1 << 13), &img);
+    }
+
+    #[test]
     fn from_image_restores_persistent_state() {
         let mut s = small_sys();
         let a = s.alloc_nvm(64);
@@ -1517,7 +1581,7 @@ mod tests {
         s.persist_line(a);
         let img = s.crash();
         let mut s2 = MemorySystem::new(SystemConfig::nvm_only(4096, 1 << 20));
-        s2.nvm.restore(img.bytes());
+        s2.nvm.restore(img.written_prefix());
         let mut out = [0u8; 8];
         s2.read_bytes(a, &mut out);
         assert_eq!(out, [42; 8]);

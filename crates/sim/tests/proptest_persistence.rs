@@ -155,9 +155,9 @@ proptest! {
     }
 
     /// Copy-on-write crash forks are exact: at arbitrary points of an
-    /// arbitrary program, a `DeltaImage` materializes to the byte-exact
-    /// `crash_fork` image taken at the same instant — on both platforms,
-    /// with forks accumulating against one shared base.
+    /// arbitrary program, a `DeltaImage` materializes to the logical
+    /// contents of the `crash_fork` image taken at the same instant — on
+    /// both platforms, with forks accumulating against one shared base.
     #[test]
     fn delta_forks_materialize_exactly(
         ops in prop::collection::vec(op_strategy(), 1..300),
@@ -188,7 +188,7 @@ proptest! {
                 let delta = sys.crash_fork_delta(&base);
                 let full = sys.crash_fork();
                 let materialized = delta.materialize();
-                prop_assert_eq!(materialized.bytes(), full.bytes(), "op {}", k);
+                prop_assert_eq!(materialized.first_difference(&full), None, "op {}", k);
                 prop_assert_eq!(
                     delta.dirty_lines_at_crash(),
                     full.dirty_lines_at_crash(),
@@ -203,6 +203,159 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Delta lines landing past the base's written prefix grow the
+    /// materialized prefix: the image still equals `crash_fork`, and every
+    /// line past the base prefix reads back what the run persisted.
+    #[test]
+    fn delta_lines_past_the_base_prefix_materialize_exactly(
+        pre_lines in 0u64..8,
+        writes in prop::collection::vec((0u64..64, 1u64..u64::MAX), 1..40),
+    ) {
+        let mut sys = MemorySystem::new(SystemConfig::nvm_only(8 * 64, 1 << 16));
+        let arr = PArray::<u64>::alloc_nvm(&mut sys, 64 * 8);
+        for l in 0..pre_lines {
+            arr.set(&mut sys, (l * 8) as usize, l + 1);
+            sys.persist_line(arr.addr((l * 8) as usize));
+        }
+        let base = sys.delta_base();
+        prop_assert!(base.stored_len() as u64 <= arr.addr(0) + pre_lines * 64);
+        for &(line, v) in &writes {
+            let i = (line * 8) as usize;
+            arr.set(&mut sys, i, v);
+            sys.persist_line(arr.addr(i));
+        }
+        let delta = sys.crash_fork_delta(&base);
+        let full = sys.crash_fork();
+        let materialized = delta.materialize();
+        prop_assert_eq!(materialized.first_difference(&full), None);
+        prop_assert_eq!(materialized.len(), full.len());
+        prop_assert_eq!(materialized.stored_len(), delta.materialized_len());
+        let last = writes.iter().map(|&(line, _)| line).max().unwrap();
+        prop_assert!(materialized.stored_len() as u64 >= arr.addr(0) + (last + 1) * 64);
+        prop_assert!(materialized.stored_len() < materialized.len(), "never the whole pool");
+        for line in 0..64 {
+            let a = arr.addr((line * 8) as usize);
+            prop_assert_eq!(delta.read_u64(a), full.read_u64(a), "line {}", line);
+            prop_assert_eq!(materialized.read_u64(a), full.read_u64(a), "line {}", line);
+        }
+    }
+
+    /// A written prefix may end in zero bytes (stores of zero, or the
+    /// zero-filled tail of a grown line). Trailing zeros are not part of an
+    /// image's contents: trimming them changes neither equality nor what a
+    /// rebooted system reads.
+    #[test]
+    fn prefixes_ending_in_zero_bytes_are_logically_equal_when_trimmed(
+        live in prop::collection::vec(1u8..=255, 1..200),
+        zeros in 1usize..200,
+    ) {
+        let len = 1usize << 12;
+        let mut sys = MemorySystem::new(SystemConfig::nvm_only(8 * 64, len));
+        sys.seed_bytes(0, &live);
+        sys.seed_bytes(live.len() as u64, &vec![0; zeros]);
+        let img = sys.crash();
+        prop_assert_eq!(img.stored_len(), live.len() + zeros, "the prefix keeps its zeros");
+        let trimmed = NvmImage::from_prefix(live.clone(), len);
+        prop_assert_eq!(img.first_difference(&trimmed), None);
+        prop_assert_eq!(trimmed.first_difference(&img), None);
+        // A nonzero byte anywhere past the trimmed prefix is a difference.
+        let mut bumped = live.clone();
+        bumped.resize(live.len() + zeros, 0);
+        bumped[live.len() + zeros - 1] = 1;
+        let bumped = NvmImage::from_prefix(bumped, len);
+        prop_assert_eq!(
+            img.first_difference(&bumped),
+            Some((live.len() + zeros - 1) as u64)
+        );
+        let mut a = MemorySystem::from_image(SystemConfig::nvm_only(8 * 64, len), &img);
+        let mut b = MemorySystem::from_image(SystemConfig::nvm_only(8 * 64, len), &trimmed);
+        for addr in (0..len as u64).step_by(8) {
+            let (mut x, mut y) = ([0u8; 8], [0u8; 8]);
+            a.read_bytes(addr, &mut x);
+            b.read_bytes(addr, &mut y);
+            prop_assert_eq!(x, y, "addr {}", addr);
+        }
+        prop_assert_eq!(a.now().ps(), b.now().ps());
+    }
+
+    /// Reads that straddle the end of the written prefix return the prefix
+    /// bytes followed by zeros — through an `NvmImage`, through a
+    /// `DeltaImage` whose base stops mid-range, and through its
+    /// materialization alike.
+    #[test]
+    fn reads_straddling_the_prefix_end_zero_fill(
+        prefix in prop::collection::vec(1u8..=255, 1..300),
+        post in prop::collection::vec((0u64..16, any::<u64>()), 0..8),
+        reads in prop::collection::vec((0usize..1024, 1usize..40), 1..30),
+    ) {
+        let len = 1usize << 12;
+        // Reference model: the whole logical pool as a flat vector.
+        let mut model = vec![0u8; len];
+        model[..prefix.len()].copy_from_slice(&prefix);
+        let img = NvmImage::from_prefix(prefix.clone(), len);
+        let mut sys = MemorySystem::new(SystemConfig::nvm_only(8 * 64, len));
+        sys.seed_bytes(0, &prefix);
+        let base = sys.delta_base();
+        for &(line, v) in &post {
+            let addr = 512 + line * 64;
+            sys.seed_bytes(addr, &v.to_le_bytes());
+            model[addr as usize..addr as usize + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        let delta = sys.crash_fork_delta(&base);
+        let materialized = delta.materialize();
+        for &(addr, n) in &reads {
+            let want = &model[addr..addr + n];
+            let mut got = vec![0xAAu8; n];
+            if post.is_empty() {
+                img.read_bytes(addr as u64, &mut got);
+                prop_assert_eq!(&got[..], want, "image read {}+{}", addr, n);
+            }
+            got.fill(0xAA);
+            delta.read_bytes(addr as u64, &mut got);
+            prop_assert_eq!(&got[..], want, "delta read {}+{}", addr, n);
+            got.fill(0xAA);
+            materialized.read_bytes(addr as u64, &mut got);
+            prop_assert_eq!(&got[..], want, "materialized read {}+{}", addr, n);
+        }
+    }
+
+    /// Booting from a materialized delta and booting from the full
+    /// `crash_fork` image give the same machine: every charged read
+    /// returns the same value at the same simulated time, with the same
+    /// event counters.
+    #[test]
+    fn charged_reads_after_booting_a_materialized_delta_match_crash_fork(
+        ops in prop::collection::vec(op_strategy(), 1..200),
+        hetero in any::<bool>(),
+        reads in prop::collection::vec(0..SLOTS, 1..64),
+    ) {
+        let cfg = if hetero {
+            SystemConfig::heterogeneous(8 * 64, 16 * 64, 1 << 16)
+        } else {
+            SystemConfig::nvm_only(8 * 64, 1 << 16)
+        };
+        let mut sys = MemorySystem::new(cfg.clone());
+        let arr = PArray::<u64>::alloc_nvm(&mut sys, SLOTS * 8);
+        let slot = |i: usize| i * 8;
+        let base = sys.delta_base();
+        for op in &ops {
+            match *op {
+                Op::Write { i, v } => arr.set(&mut sys, slot(i), v),
+                Op::Read { i } => { arr.get(&mut sys, slot(i)); }
+                Op::Flush { i } => sys.clflush(arr.addr(slot(i))),
+                Op::Persist { i } => sys.persist_line(arr.addr(slot(i))),
+                Op::Drain => sys.drain_dram_cache(),
+            }
+        }
+        let mut from_delta = MemorySystem::from_image(cfg.clone(), &sys.crash_fork_delta(&base).materialize());
+        let mut from_full = MemorySystem::from_image(cfg, &sys.crash_fork());
+        for &i in &reads {
+            prop_assert_eq!(arr.get(&mut from_delta, slot(i)), arr.get(&mut from_full, slot(i)));
+            prop_assert_eq!(from_delta.now().ps(), from_full.now().ps());
+        }
+        prop_assert_eq!(from_delta.stats(), from_full.stats());
     }
 
     /// Simulated time is monotone and deterministic for a given op sequence.

@@ -143,7 +143,7 @@ impl ExecutionProfile {
 
     /// Attach dirty-residency metadata directly (e.g. from a
     /// [`adcc_sim::image::DeltaImage`], whose metadata survives the
-    /// copy-on-write path exactly like a full image's).
+    /// copy-on-write path exactly like an `NvmImage`'s).
     pub fn with_dirty_lines(mut self, lines: u64) -> Self {
         self.dirty_lines_at_crash = lines;
         self

@@ -1,15 +1,16 @@
-//! Delta-vs-full equivalence: the copy-on-write crash-image path must be
-//! indistinguishable from the legacy full-copy path.
+//! Delta-vs-per-trial equivalence: the copy-on-write crash-image path must
+//! be indistinguishable from the legacy one-execution-per-trial path.
 //!
 //! Three layers of proof:
 //!
-//! 1. **Image level** (plus a proptest in `crates/sim`): a materialized
-//!    `DeltaImage` is byte-identical to the `crash_fork` image taken at
-//!    the same instant.
+//! 1. **Image level** (plus proptests in `crates/sim`): a materialized
+//!    `DeltaImage` has the logical contents of the `crash_fork` image
+//!    taken at the same instant (same length, same bytes, zeros past
+//!    each stored prefix).
 //! 2. **Trial level**: for every scenario in the registry, `run_batch`
 //!    (one harvested execution, delta images, streaming classification)
-//!    produces exactly the trials `run_trial` (one execution and one full
-//!    image per unit) produces — outcome, loss, recovery clock, and the
+//!    produces exactly the trials `run_trial` (one execution and one
+//!    `crash_now` image per unit) produces — outcome, loss, recovery clock, and the
 //!    full telemetry profile.
 //! 3. **Report level**: whole campaigns are byte-identical in canonical
 //!    form under both code paths, across 1 and 8 worker threads, dense
